@@ -12,20 +12,33 @@ saturates, this PODEM implementation decides each leftover fault:
 Classic Goel-style PODEM: objectives, backtrace to a primary input,
 three-valued (0/1/X) dual-machine implication, D-frontier tracking,
 chronological backtracking over PI assignments.
+
+Implication is event-driven on a compiled view of the netlist: good and
+faulty values live in flat per-net lists, evaluated in full once per
+fault; each PI assignment, flip or release then re-evaluates, in level
+order, only gates reading a net whose good or faulty value changed.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import telemetry
 from repro.faultsim.faults import Fault
 from repro.netlist.gates import GateType
 from repro.netlist.levelize import levelize
 from repro.netlist.netlist import Netlist
 
 X = None  # unknown value in the 3-valued domain {0, 1, None}
+
+# Gate opcodes: the base function's index here, plus a 0/1 inversion flag.
+_BASES = (GateType.AND, GateType.OR, GateType.XOR, GateType.BUF, GateType.CONST0,
+          GateType.CONST1)
+_AND, _OR, _XOR, _BUF, _CONST0 = range(5)
+_OPCODE = {t: (_BASES.index(t.base), int(t.is_inverting)) for t in GateType}
 
 
 class PodemStatus(enum.Enum):
@@ -42,194 +55,177 @@ class PodemResult:
     backtracks: int = 0
 
 
-def _eval3(gtype: GateType, inputs: Sequence[Optional[int]]) -> Optional[int]:
+def _eval3(op: int, inverting: int, values: Sequence[Optional[int]]) -> Optional[int]:
     """Three-valued gate evaluation."""
-    base = gtype.base
-    if base is GateType.AND:
-        if any(v == 0 for v in inputs):
-            value: Optional[int] = 0
-        elif any(v is X for v in inputs):
-            value = X
-        else:
-            value = 1
-    elif base is GateType.OR:
-        if any(v == 1 for v in inputs):
-            value = 1
-        elif any(v is X for v in inputs):
-            value = X
-        else:
-            value = 0
-    elif base is GateType.XOR:
-        if any(v is X for v in inputs):
-            value = X
-        else:
-            parity = 0
-            for v in inputs:
-                parity ^= v
-            value = parity
-    elif base is GateType.BUF:
-        value = inputs[0]
-    elif base is GateType.CONST0:
-        value = 0
-    else:  # CONST1
-        value = 1
-    if value is X:
-        return X
-    return value ^ 1 if gtype.is_inverting else value
+    value: Optional[int]
+    if op == _AND:
+        value = 0 if 0 in values else (X if X in values else 1)
+    elif op == _OR:
+        value = 1 if 1 in values else (X if X in values else 0)
+    elif op == _XOR:
+        value = X if X in values else sum(values) & 1
+    elif op == _BUF:
+        value = values[0]
+    else:  # CONST0 / CONST1
+        value = op - _CONST0
+    return X if value is X else value ^ inverting
 
 
-class _Machine:
-    """Dual-machine 3-valued simulator with one injected fault."""
+class _Circuit:
+    """A netlist compiled for one fault, with its good and faulty values."""
 
     def __init__(self, netlist: Netlist, fault: Fault):
-        self.netlist = netlist
+        gates = netlist.gates
         self.fault = fault
         self.order = levelize(netlist)
-
-    def simulate(self, assignment: Dict[int, int]) -> Tuple[Dict[int, Optional[int]], Dict[int, Optional[int]]]:
-        """(good values, faulty values) for a partial PI assignment."""
-        good: Dict[int, Optional[int]] = {}
-        bad: Dict[int, Optional[int]] = {}
-        fault = self.fault
-        for net in self.netlist.primary_inputs:
-            value = assignment.get(net, X)
-            good[net] = value
-            bad[net] = value
-        if fault.is_stem and fault.net in bad:
-            bad[fault.net] = fault.stuck_at
+        self.position = {gate_index: p for p, gate_index in enumerate(self.order)}
+        self.ops = [_OPCODE[gate.gtype] for gate in gates]
+        self.inputs = [gate.inputs for gate in gates]
+        self.outputs = [gate.output for gate in gates]
+        # Value that sensitises a gate to its other inputs (AND: 1, else 0).
+        self.non_controlling = [int(op == _AND) for op, _ in self.ops]
+        n_nets = netlist.n_nets
+        self.fanout: List[List[int]] = [[] for _ in range(n_nets)]
+        self.driver: List[Optional[int]] = [None] * n_nets
+        for gate_index, gate in enumerate(gates):
+            self.driver[gate.output] = gate_index
+            for net in gate.inputs:
+                self.fanout[net].append(gate_index)
+        self.pis = frozenset(netlist.primary_inputs)
+        self.primary_outputs = netlist.primary_outputs
+        # Where the fault sits: a forced net (stem) or a forced pin (branch).
+        self.pin_gate = -1 if fault.is_stem else fault.gate_index
+        self.stem = fault.net if fault.is_stem else -1
+        self.good: List[Optional[int]] = [X] * n_nets
+        self.bad: List[Optional[int]] = [X] * n_nets
+        if self.stem in self.pis:
+            self.bad[self.stem] = fault.stuck_at
         for gate_index in self.order:
-            gate = self.netlist.gates[gate_index]
-            good_inputs = [good.get(n, X) for n in gate.inputs]
-            good[gate.output] = _eval3(gate.gtype, good_inputs)
-            bad_inputs = [bad.get(n, X) for n in gate.inputs]
-            if (not fault.is_stem) and fault.gate_index == gate_index:
-                bad_inputs[fault.pin] = fault.stuck_at
-            bad[gate.output] = _eval3(gate.gtype, bad_inputs)
-            if fault.is_stem and gate.output == fault.net:
-                bad[gate.output] = fault.stuck_at
-        return good, bad
+            self._evaluate(gate_index)
 
+    def _evaluate(self, gate_index: int) -> bool:
+        """Re-evaluate one gate in both machines; True if either changed."""
+        op, inverting = self.ops[gate_index]
+        inputs = self.inputs[gate_index]
+        output = self.outputs[gate_index]
+        good = _eval3(op, inverting, [self.good[n] for n in inputs])
+        bad_inputs = [self.bad[n] for n in inputs]
+        if gate_index == self.pin_gate:
+            bad_inputs[self.fault.pin] = self.fault.stuck_at
+        bad = _eval3(op, inverting, bad_inputs)
+        if output == self.stem:
+            bad = self.fault.stuck_at
+        changed = good != self.good[output] or bad != self.bad[output]
+        self.good[output], self.bad[output] = good, bad
+        return changed
 
-def _detected(netlist: Netlist, good, bad) -> bool:
-    for po in netlist.primary_outputs:
-        g, b = good.get(po, X), bad.get(po, X)
-        if g is not X and b is not X and g != b:
-            return True
-    return False
+    def assign(self, pi: int, value: Optional[int]) -> None:
+        """Set (or release, with X) one PI and push the change forward."""
+        self.good[pi] = value
+        if pi != self.stem:
+            self.bad[pi] = value
+        position, order = self.position, self.order
+        queue = [position[g] for g in set(self.fanout[pi])]
+        heapq.heapify(queue)
+        queued = set(queue)
+        while queue:
+            gate_index = order[heapq.heappop(queue)]
+            if self._evaluate(gate_index):
+                for reader in self.fanout[self.outputs[gate_index]]:
+                    if position[reader] not in queued:
+                        queued.add(position[reader])
+                        heapq.heappush(queue, position[reader])
 
+    def detected(self) -> bool:
+        good, bad = self.good, self.bad
+        return any(good[po] is not X and bad[po] is not X and good[po] != bad[po]
+                   for po in self.primary_outputs)
 
-def _possibly_detectable(netlist: Netlist, fault: Fault, good, bad) -> bool:
-    """Cheap pruning: can the fault still be activated and propagated?"""
-    # Activation: the good value at the fault site must (be able to) differ
-    # from the stuck value.
-    if fault.is_stem:
-        site_good = good.get(fault.net, X)
-    else:
-        site_good = good.get(fault.net, X)
-    if site_good is not X and site_good == fault.stuck_at:
-        return False
-    # Propagation: some PO must still carry a difference or an X in the
-    # faulty/good pair downstream.  Conservative check: any PO where the
-    # pair is not yet provably equal.
-    for po in netlist.primary_outputs:
-        g, b = good.get(po, X), bad.get(po, X)
-        if g is X or b is X or g != b:
-            return True
-    return False
+    def possibly_detectable(self) -> bool:
+        """Cheap pruning: can the fault still be activated and propagated?"""
+        # Activation: the good value at the fault site can still differ
+        # from the stuck value.
+        site_good = self.good[self.fault.net]
+        if site_good is not X and site_good == self.fault.stuck_at:
+            return False
+        # Propagation (conservative): some PO pair is not provably equal.
+        good, bad = self.good, self.bad
+        return any(good[po] is X or bad[po] is X or good[po] != bad[po]
+                   for po in self.primary_outputs)
 
+    def objective(self) -> Optional[Tuple[int, int]]:
+        """Next (net, value): activate the fault, then advance the D-frontier."""
+        fault, good, bad = self.fault, self.good, self.bad
+        if good[fault.net] is X:
+            return fault.net, fault.stuck_at ^ 1
+        # Fault is activated; find a D-frontier gate: output not resolved in
+        # both machines, some input carrying a definite good/bad difference.
+        for gate_index, inputs in enumerate(self.inputs):
+            output = self.outputs[gate_index]
+            if good[output] is not X and bad[output] is not X:
+                continue
+            for pin, net in enumerate(inputs):
+                g, b = good[net], bad[net]
+                if gate_index == self.pin_gate and pin == fault.pin:
+                    b = fault.stuck_at
+                if g is not X and b is not X and g != b:
+                    break
+            else:
+                continue
+            # Set an X input to the non-controlling value.
+            for net in inputs:
+                if good[net] is X:
+                    return net, self.non_controlling[gate_index]
+        return None
 
-def _objective(netlist: Netlist, fault: Fault, good, bad) -> Optional[Tuple[int, int]]:
-    """Next (net, value) objective: activate the fault, then advance the
-    D-frontier."""
-    site_good = good.get(fault.net, X)
-    if site_good is X:
-        return fault.net, fault.stuck_at ^ 1
-    # Fault is activated; find a D-frontier gate: output not yet resolved in
-    # both machines, some input carrying a definite good/bad difference.
-    for gate_index, gate in enumerate(netlist.gates):
-        if good.get(gate.output, X) is not X and bad.get(gate.output, X) is not X:
-            continue
-        has_difference = False
-        for pin, net in enumerate(gate.inputs):
-            g = good.get(net, X)
-            b = bad.get(net, X)
-            if (not fault.is_stem) and fault.gate_index == gate_index and fault.pin == pin:
-                b = fault.stuck_at
-            if g is not X and b is not X and g != b:
-                has_difference = True
-                break
-        if not has_difference:
-            continue
-        # Set an X input to the non-controlling value.
-        from repro.netlist.gates import CONTROLLING_VALUE
-
-        control = CONTROLLING_VALUE.get(gate.gtype)
-        for net in gate.inputs:
-            if good.get(net, X) is X:
-                want = (control ^ 1) if control is not None else 0
-                return net, want
-    return None
-
-
-def _backtrace(netlist: Netlist, good, net: int, value: int) -> Optional[Tuple[int, int]]:
-    """Walk an objective back to an unassigned primary input."""
-    pis = set(netlist.primary_inputs)
-    current, want = net, value
-    for _ in range(len(netlist.gates) + len(pis) + 1):
-        if current in pis:
-            if good.get(current, X) is X:
-                return current, want
-            return None
-        driver = netlist.driver_of(current)
-        if driver is None:
-            return None
-        gate = netlist.gates[driver]
-        if gate.gtype in (GateType.CONST0, GateType.CONST1):
-            return None
-        if gate.gtype.is_inverting:
-            want ^= 1
-        x_inputs = [n for n in gate.inputs if good.get(n, X) is X]
-        if not x_inputs:
-            return None
-        # Pursue the first X input; for AND/OR the wanted value carries
-        # through unchanged (non-controlling to satisfy 1/0 respectively,
-        # controlling to force the output), for XOR it is a free choice.
-        current = x_inputs[0]
-    return None
+    def backtrace(self, net: int, value: int) -> Optional[Tuple[int, int]]:
+        """Walk an objective back to an unassigned primary input."""
+        good, current, want = self.good, net, value
+        for _ in range(len(self.ops) + len(self.pis) + 1):
+            if current in self.pis:
+                return (current, want) if good[current] is X else None
+            driver = self.driver[current]
+            if driver is None:
+                return None
+            op, inverting = self.ops[driver]
+            if op >= _CONST0:
+                return None
+            want ^= inverting
+            # Pursue the first X input; for AND/OR the wanted value carries
+            # through unchanged (non-controlling to satisfy 1/0, controlling
+            # to force the output), for XOR it is a free choice.
+            current = next((n for n in self.inputs[driver] if good[n] is X), -1)
+            if current < 0:
+                return None
+        return None
 
 
 def podem(netlist: Netlist, fault: Fault, max_backtracks: int = 5000) -> PodemResult:
     """Run PODEM for one fault."""
-    machine = _Machine(netlist, fault)
-    assignment: Dict[int, int] = {}
+    circuit = _Circuit(netlist, fault)
     decisions: List[Tuple[int, bool]] = []  # (pi net, tried_both)
     backtracks = 0
 
     while True:
-        good, bad = machine.simulate(assignment)
-        if _detected(netlist, good, bad):
-            test = {
-                net: assignment.get(net, 0) for net in netlist.primary_inputs
-            }
+        if circuit.detected():
+            test = {net: circuit.good[net] or 0 for net in netlist.primary_inputs}
             return PodemResult(PodemStatus.DETECTED, fault, test, backtracks)
-        feasible = _possibly_detectable(netlist, fault, good, bad)
         target: Optional[Tuple[int, int]] = None
-        if feasible:
-            objective = _objective(netlist, fault, good, bad)
+        if circuit.possibly_detectable():
+            objective = circuit.objective()
             if objective is not None:
-                target = _backtrace(netlist, good, objective[0], objective[1])
-        if feasible and target is not None:
-            pi, value = target
-            assignment[pi] = value
-            decisions.append((pi, False))
+                target = circuit.backtrace(*objective)
+        if target is not None:
+            circuit.assign(*target)
+            decisions.append((target[0], False))
             continue
         # Dead end: backtrack.
         while decisions:
             pi, tried_both = decisions.pop()
             if tried_both:
-                del assignment[pi]
+                circuit.assign(pi, X)
                 continue
-            assignment[pi] ^= 1
+            circuit.assign(pi, circuit.good[pi] ^ 1)
             decisions.append((pi, True))
             backtracks += 1
             break
@@ -250,6 +246,9 @@ def classify_faults(
     aborted: List[Fault] = []
     for fault in faults:
         result = podem(netlist, fault, max_backtracks)
+        telemetry.count("atpg.podem.calls")
+        telemetry.count("atpg.podem.backtracks", result.backtracks)
+        telemetry.count(f"atpg.podem.{result.status.value}")
         if result.status is PodemStatus.REDUNDANT:
             redundant.append(fault)
         elif result.status is PodemStatus.DETECTED:

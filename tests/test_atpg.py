@@ -4,6 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.atpg.podem import PodemStatus, classify_faults, podem
 from repro.faultsim.collapse import collapse_faults
 from repro.faultsim.faults import Fault, full_fault_universe
@@ -60,10 +61,35 @@ def test_classify_faults_splits_correctly():
         assert simulator.detects(fault, pattern)
 
 
+def test_classify_faults_counts_calls_backtracks_and_outcomes():
+    netlist, _ = redundant_or_circuit()
+    faults = full_fault_universe(netlist)
+    instance = telemetry.get_telemetry()
+    was_enabled = instance.enabled
+    instance.reset()
+    instance.enable()
+    try:
+        redundant, tests, aborted = classify_faults(netlist, faults)
+        counters = instance.metrics.snapshot()["counters"]
+    finally:
+        instance.reset()
+        if not was_enabled:
+            instance.disable()
+    results = [podem(netlist, fault) for fault in faults]
+    assert counters["atpg.podem.calls"] == len(faults)
+    assert counters["atpg.podem.backtracks"] == sum(r.backtracks for r in results)
+    assert counters["atpg.podem.redundant"] == len(redundant) > 0
+    assert counters["atpg.podem.detected"] == len(tests) > 0
+    assert counters.get("atpg.podem.aborted", 0) == len(aborted) == 0
+
+
 @given(st.integers(0, 40))
 @settings(max_examples=10, deadline=None)
 def test_podem_agrees_with_exhaustive_search(seed):
-    """Property: PODEM says REDUNDANT iff no input pattern detects the fault."""
+    """Property: PODEM says REDUNDANT iff no input pattern detects the fault.
+
+    Four inputs allow at most 2^4 leaves in the decision tree, so a
+    10_000-backtrack limit is never reached: no fault may abort."""
     netlist = make_random_netlist(4, 10, seed=seed)
     simulator = FaultSimulator(netlist)
     faults, _ = collapse_faults(netlist)
@@ -71,11 +97,12 @@ def test_podem_agrees_with_exhaustive_search(seed):
     for fault in faults[::4]:
         truly_detectable = any(simulator.detects(fault, p) for p in patterns)
         result = podem(netlist, fault, max_backtracks=10_000)
+        assert result.status is not PodemStatus.ABORTED, fault.describe(netlist)
         if result.status is PodemStatus.DETECTED:
             assert truly_detectable
             pattern = [result.test[n] for n in netlist.primary_inputs]
             assert simulator.detects(fault, pattern)
-        elif result.status is PodemStatus.REDUNDANT:
+        else:
             assert not truly_detectable
 
 
